@@ -13,11 +13,14 @@
  * --backend native: the protocol scaling sweep — hash-table runs on
  * real host threads (1/2/4/8) x three mixes (read-heavy, write-heavy,
  * disjoint) x both native protocols (TL2-style snapshot clock vs the
- * PR 6 McRT shape), best-of-2 wall-clock ops/sec per cell with a
- * self-checked acceptance bar: snapshot >= 1.5x McRT on the
+ * McRT-style one). Each cell is fixed-time: a warm-up, then the
+ * best of kCellReps measured runs of kCellMs (ops done / wall time),
+ * with a self-checked acceptance bar: snapshot >= 1.5x McRT on the
  * read-heavy 4-thread cell and >= parity everywhere else (failing
  * cells are re-measured before the verdict; bars above the host's
- * core count are reported but not enforced). Both protocols are then
+ * core count are reported but not enforced). The absolute scaling
+ * t4/t1 of each mix and protocol is printed and recorded in the
+ * scalingSummary block. Both protocols are then
  * cross-validated by replaying recorded native op logs through the
  * simulator (three seeds per workload; any divergence fails the run).
  * --ci trims to 1/2/4 threads and one seed. Emits
@@ -120,13 +123,19 @@ struct MixSpec
     bool disjoint;
 };
 
+/** Scaling-sweep cell timing: measured length (after a warm-up of a
+ *  quarter of it), best-of-N. */
+constexpr unsigned kCellMs = 200;
+constexpr int kCellReps = 3;
+
 NativeExperimentConfig
 scalingCellConfig(const MixSpec &mix, unsigned threads, bool snapshot)
 {
     NativeExperimentConfig cfg;
     cfg.workload = WorkloadKind::HashTable;
     cfg.threads = threads;
-    cfg.totalOps = 200000;
+    cfg.totalOps = 0;  // time-bounded: see measureMs
+    cfg.measureMs = kCellMs;
     cfg.updatePct = mix.updatePct;
     cfg.disjoint = mix.disjoint;
     cfg.initialSize = 4096;
@@ -186,16 +195,21 @@ runNativeMode(int argc, char **argv)
     Json cells = Json::array();
     Table table({"mix", "threads", "mcrt_mops", "snap_mops", "ratio",
                  "bar", "verdict"});
+    // Absolute scaling: each protocol's 4-thread ops/sec over its own
+    // 1-thread ops/sec, per mix.
+    Json scaling = Json::array();
+    Table scalingTable({"mix", "mcrt_t4/t1", "snap_t4/t1"});
     for (const MixSpec &mix : mixes) {
+        double t1[2] = {0.0, 0.0};  // {mcrt, snapshot} 1-thread ops/sec
         for (unsigned th : thread_counts) {
             NativeExperimentConfig oldCfg =
                 scalingCellConfig(mix, th, false);
             NativeExperimentConfig newCfg =
                 scalingCellConfig(mix, th, true);
             NativeExperimentResult oldBest, newBest;
-            // Best-of-2 per protocol: wall-clock throughput is noisy
+            // Best-of-N per protocol: wall-clock throughput is noisy
             // and the bar below compares two maxima, not two samples.
-            for (int rep = 0; rep < 2; ++rep) {
+            for (int rep = 0; rep < kCellReps; ++rep) {
                 improveBest(oldCfg, oldBest, ok);
                 improveBest(newCfg, newBest, ok);
             }
@@ -234,6 +248,19 @@ runNativeMode(int argc, char **argv)
                 .set("barApplies", bar_applies)
                 .set("pass", pass);
             cells.push(std::move(c));
+            if (th == 1) {
+                t1[0] = oldBest.opsPerSec;
+                t1[1] = newBest.opsPerSec;
+            } else if (th == 4) {
+                Json sc = Json::object();
+                sc.set("mix", mix.name)
+                    .set("mcrtT4OverT1", oldBest.opsPerSec / t1[0])
+                    .set("snapshotT4OverT1", newBest.opsPerSec / t1[1]);
+                scalingTable.addRow(
+                    {mix.name, fmt(oldBest.opsPerSec / t1[0]),
+                     fmt(newBest.opsPerSec / t1[1])});
+                scaling.push(std::move(sc));
+            }
             table.addRow({mix.name, fmt(std::uint64_t(th)),
                           fmt(oldBest.opsPerSec * 1e-6),
                           fmt(newBest.opsPerSec * 1e-6), fmt(ratio),
@@ -242,6 +269,8 @@ runNativeMode(int argc, char **argv)
         }
     }
     table.print(std::cout);
+    std::cout << "\nAbsolute scaling (4-thread over 1-thread ops/sec):\n";
+    scalingTable.print(std::cout);
     if (!bars_ok)
         ok = false;
 
@@ -347,7 +376,10 @@ runNativeMode(int argc, char **argv)
         .set("barsOk", bars_ok)
         .set("xvalPassed", std::uint64_t(passed))
         .set("xvalTotal", std::uint64_t(total))
-        .set("cells", std::move(cells));
+        .set("cellMs", std::uint64_t(kCellMs))
+        .set("cellReps", std::uint64_t(kCellReps))
+        .set("cells", std::move(cells))
+        .set("scaling", std::move(scaling));
     report.addCustom("scalingSummary", std::move(summary));
 
     std::cout << "\nNative backend verdict: "

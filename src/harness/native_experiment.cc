@@ -59,45 +59,78 @@ runNativeDataStructure(const NativeExperimentConfig &cfg)
     }});
     backend.resetStats();
 
-    // ---- measured phase: fixed total work split across threads ----
-    std::uint64_t per_thread = cfg.totalOps / cfg.threads;
-    std::vector<std::function<void(TmExec &)>> bodies;
+    // ---- measured phase: fixed total work split across threads, or
+    // fixed host time after a warm-up on the same op streams ----
+    struct alignas(64) ThreadStream  // one line each: no false sharing
+    {
+        Rng rng;
+        std::uint64_t lo = 0, span = 0;
+        std::uint64_t done = 0;
+    };
+    std::vector<ThreadStream> streams;
     for (unsigned tid = 0; tid < cfg.threads; ++tid) {
-        bodies.push_back([&, tid](TmExec &t) {
-            Rng rng(cfg.seed + 104729ull * (tid + 1));
-            auto record = [&](OpKind kind, std::uint64_t key,
-                              std::uint64_t val, bool res) {
-                if (cfg.recordOps) {
-                    opLogs[tid].push_back({t.commitStamp(), tid, 1,
-                                           kind, key, val, res,
-                                           opLogs[tid].size()});
-                }
-            };
-            // Disjoint mix: thread t owns keyRange/threads keys.
-            std::uint64_t lo = 0, span = cfg.keyRange;
-            if (cfg.disjoint && cfg.threads > 1) {
-                span = cfg.keyRange / cfg.threads;
-                if (span == 0)
-                    span = 1;
-                lo = span * tid;
+        ThreadStream st{Rng(cfg.seed + 104729ull * (tid + 1))};
+        // Disjoint mix: thread t owns keyRange/threads keys.
+        st.span = cfg.keyRange;
+        if (cfg.disjoint && cfg.threads > 1) {
+            st.span = std::max<std::uint64_t>(cfg.keyRange / cfg.threads, 1);
+            st.lo = st.span * tid;
+        }
+        streams.push_back(st);
+    }
+    auto step = [&](unsigned tid, TmExec &t) {
+        ThreadStream &st = streams[tid];
+        auto record = [&](OpKind kind, std::uint64_t key, std::uint64_t val,
+                          bool res) {
+            if (cfg.recordOps) {
+                opLogs[tid].push_back({t.commitStamp(), tid, 1, kind, key,
+                                       val, res, opLogs[tid].size()});
             }
-            for (std::uint64_t i = 0; i < per_thread; ++i) {
-                std::uint64_t key = lo + rng.range(span);
-                std::uint64_t dice = rng.range(100);
-                if (dice < cfg.updatePct) {
-                    if (rng.chancePct(50)) {
-                        record(OpKind::Insert, key, key ^ dice,
-                               ops.insert(t, key, key ^ dice));
-                    } else {
-                        record(OpKind::Remove, key, 0,
-                               ops.remove(t, key));
-                    }
-                } else {
-                    record(OpKind::Contains, key, 0,
-                           ops.contains(t, key));
-                }
+        };
+        std::uint64_t key = st.lo + st.rng.range(st.span);
+        std::uint64_t dice = st.rng.range(100);
+        if (dice < cfg.updatePct) {
+            if (st.rng.chancePct(50)) {
+                record(OpKind::Insert, key, key ^ dice,
+                       ops.insert(t, key, key ^ dice));
+            } else {
+                record(OpKind::Remove, key, 0, ops.remove(t, key));
             }
-        });
+        } else {
+            record(OpKind::Contains, key, 0, ops.contains(t, key));
+        }
+        ++st.done;
+    };
+    // Bodies that run until @p ms of host time pass (deadline checked
+    // every 64 ops, off the per-op path).
+    auto timedBodies = [&](unsigned ms) {
+        std::vector<std::function<void(TmExec &)>> bodies;
+        for (unsigned tid = 0; tid < cfg.threads; ++tid) {
+            bodies.push_back([&, tid, ms](TmExec &t) {
+                std::uint64_t deadline = hostNowNanos() + ms * 1000000ull;
+                do {
+                    for (unsigned i = 0; i < 64; ++i)
+                        step(tid, t);
+                } while (hostNowNanos() < deadline);
+            });
+        }
+        return bodies;
+    };
+    std::vector<std::function<void(TmExec &)>> bodies;
+    if (cfg.measureMs != 0) {
+        backend.run(timedBodies(std::max(cfg.measureMs / 4, 1u)));
+        backend.resetStats();
+        for (ThreadStream &st : streams)
+            st.done = 0;
+        bodies = timedBodies(cfg.measureMs);
+    } else {
+        std::uint64_t per_thread = cfg.totalOps / cfg.threads;
+        for (unsigned tid = 0; tid < cfg.threads; ++tid) {
+            bodies.push_back([&, tid, per_thread](TmExec &t) {
+                for (std::uint64_t i = 0; i < per_thread; ++i)
+                    step(tid, t);
+            });
+        }
     }
     std::uint64_t t0 = hostNowNanos();
     backend.run(bodies);
@@ -118,10 +151,11 @@ runNativeDataStructure(const NativeExperimentConfig &cfg)
             out.abortRate = double(ts.aborts) / double(attempts);
     }
     result.hostNanos = t1 - t0;
-    if (result.hostNanos > 0) {
-        result.opsPerSec = double(per_thread * cfg.threads) * 1e9 /
-                           double(result.hostNanos);
-    }
+    std::uint64_t ops_done = 0;
+    for (const ThreadStream &st : streams)
+        ops_done += st.done;
+    if (result.hostNanos > 0)
+        result.opsPerSec = double(ops_done) * 1e9 / double(result.hostNanos);
 
     // ---- post-run verification (single-threaded, still transactional:
     // the native STM has no capacity bound, so whole-structure walks

@@ -36,7 +36,15 @@ struct NativeExperimentConfig
 {
     WorkloadKind workload = WorkloadKind::Bst;
     unsigned threads = 1;
-    std::uint64_t totalOps = 4096;
+    std::uint64_t totalOps = 4096;  //!< ignored when measureMs != 0
+    /**
+     * Fixed-time mode (0 = off): every measured thread runs ops until
+     * measureMs of host time have passed, after a warm-up of
+     * measureMs/4 on the same op streams whose stats are discarded.
+     * Throughput is then the ops actually done over the measured wall
+     * time.
+     */
+    unsigned measureMs = 0;
     unsigned updatePct = 20;        //!< paper: 20 % of operations update
     std::uint64_t initialSize = 1024;
     std::uint64_t keyRange = 8192;
@@ -106,7 +114,7 @@ struct NativeExperimentResult
 
     /** Wall time of the measured phase (steady_clock ns). */
     std::uint64_t hostNanos = 0;
-    /** Measured-phase throughput: totalOps / wall seconds. */
+    /** Measured-phase throughput: ops done / wall seconds. */
     double opsPerSec = 0.0;
 };
 

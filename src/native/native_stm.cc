@@ -53,7 +53,9 @@ NativeGate::stallPanic(const char *what) const
     // snapshot of the stuck state.
     panic("NativeGate: stalled > %u ms waiting on %s "
           "(holder=%p inflight=%u waiters=%u)",
-          stallMs_, what, holder_, inflight_, waiters_);
+          stallMs_, what,
+          static_cast<const void *>(holder_.load(std::memory_order_relaxed)),
+          inflightLocked(), waiters_);
 }
 
 // ------------------------------------------------ NativeRecordTable
@@ -137,6 +139,7 @@ NativeThread::NativeThread(NativeRuntime &rt, unsigned id)
 {
     HASTM_ASSERT(!txrec::isVersion(token_) && token_ != 0);
     epoch_ = &rt_.registerEpochSlot();
+    gateFlag_ = &rt_.gate().registerFlag();
     cursors_ = rt_.heap().allocZeroed(64, 64);
     readSet_ = std::make_unique<TxLog>(rt_.heap(), cursors_ + 0, 2);
     writeSet_ = std::make_unique<TxLog>(rt_.heap(), cursors_ + 8, 2);
@@ -310,7 +313,8 @@ NativeThread::begin()
 {
     HASTM_ASSERT(depth_ == 0);
     faultHook(NativeFaultPoint::GateArrive);
-    rt_.gate().arrive(this);
+    if (rt_.gate().arrive(*gateFlag_))
+        ++stats_.gateParks;
     readSet_->reset();
     writeSet_->reset();
     undoLog_->reset();
@@ -414,7 +418,7 @@ NativeThread::commit()
     // without bumping the covering records — its reads would keep
     // validating against uncommitted garbage.
     deferFrees(txFrees_);
-    rt_.gate().depart();
+    rt_.gate().depart(*gateFlag_);
     return true;
 }
 
@@ -457,7 +461,7 @@ NativeThread::rollback()
     // validation — deferring reuse keeps that dereference pointing at
     // intact, in-bounds words.
     deferFrees(txAllocs_);
-    rt_.gate().depart();
+    rt_.gate().depart(*gateFlag_);
 }
 
 void
@@ -488,7 +492,8 @@ NativeThread::maybeEscalate(unsigned consec_aborts)
     if (!starving)
         return;
     faultHook(NativeFaultPoint::GateEnter);
-    rt_.gate().enter(this);
+    if (rt_.gate().enter(*gateFlag_))
+        ++stats_.gateQuiesceWaits;
     irrevocable_ = true;
     ++stats_.irrevocableEntries;
 }

@@ -12,10 +12,11 @@
  *  - the read set, write set, and undo log are TxLog instances over
  *    the NativeHeap LogMem, so the append/rollback discipline is the
  *    code path the simulator times;
- *  - the serial-irrevocable gate is the PR 3 SerialGate protocol
- *    re-expressed over a host mutex/condvar (the advertise-then-check
- *    arrival is the mutex's atomicity instead of the Dekker
- *    store-then-load);
+ *  - the serial-irrevocable gate is the stm/irrevocable.hh SerialGate
+ *    protocol over host atomics: a transaction begins with one
+ *    seq_cst store to its own padded activity flag and one load of a
+ *    read-mostly holder word (the Dekker store-then-load), and a
+ *    mutex/condvar serves only the escalation slow path;
  *  - commit stamps come from one global commit clock, which gives the
  *    replay oracle a total order (see "Commit clock" below).
  *
@@ -145,57 +146,117 @@ inline std::uint64_t readerStamp(std::uint64_t s) { return 2 * s + 1; }
 } // namespace nativeclock
 
 /**
- * Serial-irrevocable gate over a host mutex/condvar. Same protocol
- * as stm/irrevocable.hh: arriving transactions advertise themselves
- * (inflight count) and park while the token is held; an escalating
- * thread takes the token and quiesces (waits for inflight == 0).
- * The mutex makes advertise-and-check atomic, so the simulator's
- * store-then-load arrival ordering is implicit.
+ * Serial-irrevocable gate: the stm/irrevocable.hh SerialGate protocol
+ * over host atomics, with a mutex/condvar only on the slow path.
+ *
+ * Every participant (one per NativeThread, registered at
+ * construction) owns a cache-line-padded activity flag. Arrival is
+ * the Dekker store-then-load: a seq_cst store raising the caller's
+ * own flag, then a seq_cst load of the read-mostly holder word. When
+ * no thread is escalating that is the whole begin — no mutex and no
+ * read-modify-write on a shared line — and depart() is one store to
+ * the caller's own flag plus a load of the holder word.
+ *
+ * An escalating thread takes the token under the mutex, publishes
+ * itself in the holder word (seq_cst), and quiesces: it waits until
+ * every registered flag is clear. The two store-then-load sequences
+ * close the race either way round — in the seq_cst total order,
+ * either the escalator's flag scan sees an arrival's flag (and waits
+ * for that transaction to finish) or the arrival's holder load sees
+ * the escalator (and the arrival retreats: it clears its flag, wakes
+ * the escalator if it is parked, and parks until the token is
+ * released). The same argument covers depart(): a departure that
+ * loads an empty holder word cleared its flag before the escalator
+ * published, so the escalator's first scan already sees it clear;
+ * otherwise it takes the mutex to wake the escalator.
  *
  * Wakeups are counted: departures and releases broadcast only when
  * someone is actually parked (waiters_ tracked under the mutex), so
- * the uncontended fast path — every transaction begin/end when no
- * thread is escalating — never pays a condvar broadcast syscall.
+ * even the slow path pays a condvar broadcast only when it matters.
  *
  * Waits are bounded (StmConfig::nativeGateStallMs, via
  * setStallLimitMs): a parked thread that outlives the limit fails
- * fast with the gate's full accounting (holder token, inflight and
- * waiter counts) rather than hanging CI forever behind a stalled
+ * fast with the gate's full accounting (holder, in-flight flag count
+ * and waiter count) rather than hanging CI forever behind a stalled
  * holder. A healthy transition is microseconds, so the generous
  * default only ever fires on a real deadlock or a lost wakeup.
  */
 class NativeGate
 {
   public:
-    /** Transaction begin: park while another thread holds the token. */
-    void
-    arrive(const void *self)
+    /** One participant's activity flag, alone on its cache line; its
+     *  address is also the participant's identity as token holder. */
+    struct alignas(64) Flag
     {
-        std::unique_lock<std::mutex> lk(mu_);
-        waitOn(lk, [&] { return holder_ == nullptr || holder_ == self; },
-               "arrive: token release");
-        ++inflight_;
+        std::atomic<bool> active{false};
+    };
+
+    /**
+     * Register a participant's flag (stable for the gate's lifetime).
+     * Registration finishes before any transaction runs; the flag
+     * scans run under the mutex anyway.
+     */
+    Flag &
+    registerFlag()
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        return flags_.emplace_back();
+    }
+
+    /**
+     * Transaction begin: raise @p me, then check the token; retreat
+     * and park while another participant holds it. Returns true when
+     * the caller had to park.
+     */
+    bool
+    arrive(Flag &me)
+    {
+        bool parked = false;
+        for (;;) {
+            me.active.store(true, std::memory_order_seq_cst);
+            const Flag *h = holder_.load(std::memory_order_seq_cst);
+            if (h == nullptr || h == &me)
+                return parked;
+            parked = true;
+            me.active.store(false, std::memory_order_seq_cst);
+            std::unique_lock<std::mutex> lk(mu_);
+            notifyIfWaiters();  // the holder may be quiescing on us
+            waitOn(lk, [&] {
+                return holder_.load(std::memory_order_seq_cst) == nullptr;
+            }, "arrive: token release");
+        }
     }
 
     /** Transaction end (commit or rollback). */
     void
-    depart()
+    depart(Flag &me)
     {
-        std::lock_guard<std::mutex> lk(mu_);
-        HASTM_ASSERT(inflight_ > 0);
-        --inflight_;
-        notifyIfWaiters();
+        HASTM_ASSERT(me.active.load(std::memory_order_relaxed));
+        me.active.store(false, std::memory_order_seq_cst);
+        if (holder_.load(std::memory_order_seq_cst) != nullptr) {
+            std::lock_guard<std::mutex> lk(mu_);
+            notifyIfWaiters();
+        }
     }
 
-    /** Acquire the token and quiesce; call outside a transaction. */
-    void
-    enter(const void *self)
+    /**
+     * Acquire the token and quiesce; call outside a transaction
+     * (@p me clear). Returns true when the caller had to wait for
+     * in-flight transactions to drain.
+     */
+    bool
+    enter(Flag &me)
     {
+        HASTM_ASSERT(!me.active.load(std::memory_order_relaxed));
         std::unique_lock<std::mutex> lk(mu_);
-        waitOn(lk, [&] { return holder_ == nullptr; },
-               "enter: token release");
-        holder_ = self;
-        waitOn(lk, [&] { return inflight_ == 0; }, "enter: quiesce");
+        waitOn(lk, [&] {
+            return holder_.load(std::memory_order_relaxed) == nullptr;
+        }, "enter: token release");
+        holder_.store(&me, std::memory_order_seq_cst);
+        auto drained = [&] { return inflightLocked() == 0; };
+        bool waited = !drained();
+        waitOn(lk, drained, "enter: quiesce");
+        return waited;
     }
 
     /** Release the token. */
@@ -203,8 +264,8 @@ class NativeGate
     exit()
     {
         std::lock_guard<std::mutex> lk(mu_);
-        HASTM_ASSERT(holder_ != nullptr);
-        holder_ = nullptr;
+        HASTM_ASSERT(holder_.load(std::memory_order_relaxed) != nullptr);
+        holder_.store(nullptr, std::memory_order_seq_cst);
         notifyIfWaiters();
     }
 
@@ -227,13 +288,14 @@ class NativeGate
     /**
      * Invariant probe for the torture harness: with every session
      * thread joined, the gate must have unwound completely — no
-     * holder, no inflight transactions, no parked waiters.
+     * holder, no raised flags, no parked waiters.
      */
     bool
     quiescent()
     {
         std::lock_guard<std::mutex> lk(mu_);
-        return holder_ == nullptr && inflight_ == 0 && waiters_ == 0;
+        return holder_.load(std::memory_order_seq_cst) == nullptr &&
+               inflightLocked() == 0 && waiters_ == 0;
     }
 
   private:
@@ -256,6 +318,16 @@ class NativeGate
 
     [[noreturn]] void stallPanic(const char *what) const;
 
+    /** Raised flags right now (called with mu_ held). */
+    unsigned
+    inflightLocked() const
+    {
+        unsigned n = 0;
+        for (const Flag &f : flags_)
+            n += f.active.load(std::memory_order_seq_cst);
+        return n;
+    }
+
     void
     notifyIfWaiters()
     {
@@ -263,10 +335,13 @@ class NativeGate
             cv_.notify_all();
     }
 
-    std::mutex mu_;
+    /** The serial word every arrival reads: null, or the holder's
+     *  flag. Alone on its line, written only on escalation. */
+    alignas(64) std::atomic<const Flag *> holder_{nullptr};
+
+    alignas(64) std::mutex mu_;
     std::condition_variable cv_;
-    const void *holder_ = nullptr;
-    unsigned inflight_ = 0;
+    std::deque<Flag> flags_;  //!< stable addresses (deque)
     unsigned waiters_ = 0;
     unsigned stallMs_ = 20000;  //!< StmConfig::nativeGateStallMs
 };
@@ -675,6 +750,9 @@ class alignas(64) NativeThread : public TmExec
 
     /** This thread's published reclamation epoch (runtime-owned). */
     std::atomic<std::uint64_t> *epoch_ = nullptr;
+
+    /** This thread's serial-gate activity flag (gate-owned). */
+    NativeGate::Flag *gateFlag_ = nullptr;
 
     /** Blocks this thread freed, awaiting a safe epoch: (time,
      *  block), owner-accessed only — rivals touch the epoch slots,

@@ -224,6 +224,9 @@ struct TmStats
     std::uint64_t htmCapacityAborts = 0; //!< capacity subset of the above
     std::uint64_t cmKills = 0;          //!< contention-manager self-aborts
     std::uint64_t irrevocableEntries = 0; //!< serial-irrevocable escalations
+    std::uint64_t gateParks = 0;        //!< native arrivals that parked
+    std::uint64_t gateQuiesceWaits = 0; //!< native escalations that waited
+                                        //!< for in-flight flags to drain
 
     // ---- native snapshot-clock protocol (native/native_stm.hh) ----
     std::uint64_t extensions = 0;        //!< successful timestamp extensions
@@ -296,6 +299,8 @@ struct TmStats
         htmCapacityAborts += s.htmCapacityAborts;
         cmKills += s.cmKills;
         irrevocableEntries += s.irrevocableEntries;
+        gateParks += s.gateParks;
+        gateQuiesceWaits += s.gateQuiesceWaits;
         extensions += s.extensions;
         extensionFailures += s.extensionFailures;
         bloomFalsePositives += s.bloomFalsePositives;

@@ -278,10 +278,10 @@ TEST(NativeGateStall, TimedWaitFailsFastWithDiagnostic)
         {
             NativeGate g;
             g.setStallLimitMs(50);
-            int holder = 0;
-            int other = 0;
-            g.enter(&holder);
-            g.arrive(&other);
+            NativeGate::Flag &holder = g.registerFlag();
+            NativeGate::Flag &other = g.registerFlag();
+            g.enter(holder);
+            g.arrive(other);
         },
         "NativeGate: stalled > 50 ms waiting on arrive: token release");
 }

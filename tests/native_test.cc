@@ -392,11 +392,14 @@ TEST(NativeGate, StarvingWriterEscalatesRunsAloneAndCommits)
     // holding obj's record far longer than the contention spin
     // budget, so thread 1's write must abort; with a hair-trigger
     // watchdog the very next attempt escalates, quiesces behind
-    // thread 0, and commits serially.
+    // thread 0 (a counted quiesce wait), and commits serially. The
+    // serial transaction holds the token until thread 0's next
+    // arrival has parked behind it (a counted park).
     NativeSessionConfig cfg = nativeCfg(2);
     cfg.stm.watchdogConsecAborts = 1;
     cfg.stm.watchdogRetriesPerCommit = 2;
     NativeBackend b(cfg);
+    NativeGate &gate = b.session().runtime().gate();
     Addr obj = 0;
     b.run({[&](TmExec &t) { obj = t.txAlloc(16); }});
     std::atomic<bool> holder_in{false};
@@ -408,15 +411,26 @@ TEST(NativeGate, StarvingWriterEscalatesRunsAloneAndCommits)
                 std::this_thread::sleep_for(
                     std::chrono::milliseconds(80));
             });
+            t.atomic([&] { EXPECT_EQ(t.readField(obj, 8), 2u); });
         },
         [&](TmExec &t) {
             while (!holder_in.load())
                 std::this_thread::yield();
-            t.atomic([&] { t.writeField(obj, 8, 2); });
+            t.atomic([&] {
+                t.writeField(obj, 8, 2);
+                while (t.inIrrevocable() && gate.waitersForTest() == 0)
+                    std::this_thread::yield();
+            });
         },
     });
-    EXPECT_GE(b.totalStats().irrevocableEntries, 1u);
-    EXPECT_GE(b.totalStats().aborts, 1u);
+    TmStats total = b.totalStats();
+    EXPECT_GE(total.irrevocableEntries, 1u);
+    EXPECT_GE(total.aborts, 1u);
+    EXPECT_GE(total.gateQuiesceWaits, 1u);
+    EXPECT_GE(total.gateParks, 1u);
+    EXPECT_GE(b.session().thread(0).stats().gateParks, 1u);
+    EXPECT_GE(b.session().thread(1).stats().gateQuiesceWaits, 1u);
+    EXPECT_TRUE(gate.quiescent());
     b.run({[&](TmExec &t) {
         t.atomic([&] {
             EXPECT_EQ(t.readField(obj, 0), 1u);
@@ -454,6 +468,40 @@ TEST(NativeGate, HairTriggerWatchdogStaysAtomicUnderContention)
     EXPECT_EQ(v, 4u * kIncrements);
 }
 
+TEST(NativeGate, ConflictFreeRunNeverParks)
+{
+    // The fast path: with no conflicts nothing escalates, so every
+    // begin is one flag store plus one holder load — no arrival may
+    // ever take the parking slow path.
+    constexpr unsigned kThreads = 4;
+    constexpr unsigned kIncrements = 2000;
+    NativeBackend b(nativeCfg(kThreads));
+    std::vector<Addr> objs(kThreads);
+    b.run({[&](TmExec &t) {
+        for (Addr &o : objs)
+            o = t.txAlloc(64);
+    }});
+    b.resetStats();
+    std::vector<std::function<void(TmExec &)>> bodies;
+    for (unsigned tid = 0; tid < kThreads; ++tid) {
+        bodies.push_back([&, tid](TmExec &t) {
+            for (unsigned i = 0; i < kIncrements; ++i) {
+                t.atomic([&] {
+                    t.writeField(objs[tid], 0,
+                                 t.readField(objs[tid], 0) + 1);
+                });
+            }
+        });
+    }
+    b.run(bodies);
+    TmStats total = b.totalStats();
+    EXPECT_EQ(total.commits, kThreads * kIncrements);
+    EXPECT_EQ(total.irrevocableEntries, 0u);
+    EXPECT_EQ(total.gateParks, 0u);
+    EXPECT_EQ(total.gateQuiesceWaits, 0u);
+    EXPECT_TRUE(b.session().runtime().gate().quiescent());
+}
+
 TEST(NativeGate, WakeupsFireOnlyWhenSomeoneIsParked)
 {
     // Regression for the counted-wakeup fast path: a parked arrival
@@ -461,14 +509,16 @@ TEST(NativeGate, WakeupsFireOnlyWhenSomeoneIsParked)
     // when nobody waits. Deterministic: the main thread polls the
     // waiter count, so the helper is provably parked before exit().
     NativeGate g;
-    int tok = 0, other = 0;
+    NativeGate::Flag &tok = g.registerFlag();
+    NativeGate::Flag &other = g.registerFlag();
     EXPECT_EQ(g.waitersForTest(), 0u);
-    g.enter(&tok);
+    EXPECT_FALSE(g.enter(tok));  // nothing in flight: no quiesce wait
     std::atomic<bool> arrived{false};
+    std::atomic<bool> parked{false};
     std::thread th([&] {
-        g.arrive(&other);
+        parked.store(g.arrive(other));
         arrived.store(true);
-        g.depart();
+        g.depart(other);
     });
     while (g.waitersForTest() == 0)
         std::this_thread::yield();
@@ -476,7 +526,9 @@ TEST(NativeGate, WakeupsFireOnlyWhenSomeoneIsParked)
     g.exit();
     th.join();
     EXPECT_TRUE(arrived.load());
+    EXPECT_TRUE(parked.load());
     EXPECT_EQ(g.waitersForTest(), 0u);
+    EXPECT_TRUE(g.quiescent());
 }
 
 TEST(NativeGate, EscalatorParksUntilInflightDrains)
@@ -484,21 +536,78 @@ TEST(NativeGate, EscalatorParksUntilInflightDrains)
     // The other wakeup edge: depart() must broadcast when an
     // escalating thread is parked in quiesce.
     NativeGate g;
-    int tok = 0, other = 0;
-    g.arrive(&other);
+    NativeGate::Flag &tok = g.registerFlag();
+    NativeGate::Flag &other = g.registerFlag();
+    EXPECT_FALSE(g.arrive(other));  // token free: no park
+    EXPECT_FALSE(g.quiescent());
     std::atomic<bool> entered{false};
+    std::atomic<bool> waited{false};
     std::thread th([&] {
-        g.enter(&tok);
+        waited.store(g.enter(tok));
         entered.store(true);
         g.exit();
     });
     while (g.waitersForTest() == 0)
         std::this_thread::yield();
     EXPECT_FALSE(entered.load());
-    g.depart();
+    g.depart(other);
     th.join();
     EXPECT_TRUE(entered.load());
+    EXPECT_TRUE(waited.load());
     EXPECT_EQ(g.waitersForTest(), 0u);
+    EXPECT_TRUE(g.quiescent());
+}
+
+TEST(NativeGate, DekkerArrivalNeverOverlapsTheHolder)
+{
+    // The store-then-load race on both sides: three threads loop
+    // arrive -> inside++ -> inside-- -> depart with no mutex on that
+    // path, while a fourth escalates over and over. Every time the
+    // escalator holds the token, no arrival may be between arrive()
+    // and depart() — a missed flag or a missed token shows up as a
+    // nonzero count.
+    constexpr unsigned kArrivers = 3;
+    constexpr unsigned kEscalations = 10000;
+    NativeGate g;
+    NativeGate::Flag &esc = g.registerFlag();
+    std::vector<NativeGate::Flag *> flags;
+    for (unsigned i = 0; i < kArrivers; ++i)
+        flags.push_back(&g.registerFlag());
+    std::atomic<int> inside{0};
+    std::atomic<std::uint64_t> passes{0};
+    std::atomic<bool> stop{false};
+    std::vector<std::thread> arrivers;
+    for (unsigned i = 0; i < kArrivers; ++i) {
+        arrivers.emplace_back([&, i] {
+            while (!stop.load(std::memory_order_relaxed)) {
+                g.arrive(*flags[i]);
+                inside.fetch_add(1);
+                inside.fetch_sub(1);
+                g.depart(*flags[i]);
+                passes.fetch_add(1, std::memory_order_relaxed);
+            }
+        });
+    }
+    // Each escalation waits for at least one fresh pass, so every
+    // enter() really races running arrivals instead of an idle gate.
+    unsigned overlaps = 0;
+    unsigned waited = 0;
+    for (unsigned n = 0; n < kEscalations; ++n) {
+        std::uint64_t seen = passes.load(std::memory_order_relaxed);
+        while (passes.load(std::memory_order_relaxed) == seen)
+            std::this_thread::yield();
+        waited += g.enter(esc);
+        if (inside.load() != 0)
+            ++overlaps;
+        g.exit();
+    }
+    stop.store(true);
+    for (std::thread &th : arrivers)
+        th.join();
+    EXPECT_EQ(overlaps, 0u);
+    EXPECT_GT(waited, 0u);  // some enter() did quiesce behind arrivals
+    EXPECT_EQ(inside.load(), 0);
+    EXPECT_TRUE(g.quiescent());
 }
 
 TEST(NativeGate, WatchdogDisabledRivalGivesUpNeverTouchesTheGate)
