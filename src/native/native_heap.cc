@@ -1,6 +1,18 @@
 #include "native/native_heap.hh"
 
+#include <algorithm>
+#include <new>
+
 #include "sim/logging.hh"
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#define HASTM_HEAP_POISON(p, n) ASAN_POISON_MEMORY_REGION(p, n)
+#define HASTM_HEAP_UNPOISON(p, n) ASAN_UNPOISON_MEMORY_REGION(p, n)
+#else
+#define HASTM_HEAP_POISON(p, n) ((void)(p), (void)(n))
+#define HASTM_HEAP_UNPOISON(p, n) ((void)(p), (void)(n))
+#endif
 
 namespace hastm {
 
@@ -10,16 +22,48 @@ namespace {
 // handed out, matching the simulated arena's convention.
 constexpr Addr kHeapBase = 64;
 
+// Storage is constructed in steps of this many bytes.
+constexpr std::size_t kBuildStep = 1 << 20;
+
+constexpr std::align_val_t kAlign{64};
+
 } // namespace
 
 NativeHeap::NativeHeap(std::size_t bytes)
     : bytes_((bytes + 7) & ~std::size_t(7)),
-      words_(new std::atomic<std::uint64_t>[bytes_ / 8])
+      words_(static_cast<std::atomic<std::uint64_t> *>(
+          ::operator new(bytes_, kAlign)))
 {
     HASTM_ASSERT(bytes_ > kHeapBase);
-    for (std::size_t i = 0; i < bytes_ / 8; ++i)
-        words_[i].store(0, std::memory_order_relaxed);
+    HASTM_HEAP_POISON(words_, bytes_);
     freeBlocks_.emplace(kHeapBase, bytes_ - kHeapBase);
+}
+
+NativeHeap::~NativeHeap()
+{
+    // The words are trivially destructible; only the storage goes.
+    HASTM_HEAP_UNPOISON(words_, bytes_);
+    ::operator delete(words_, kAlign);
+}
+
+void
+NativeHeap::buildTo(Addr end)
+{
+    if (end <= built_)
+        return;
+    std::size_t to = std::min(bytes_, (std::size_t(end) + kBuildStep - 1) /
+                                          kBuildStep * kBuildStep);
+    HASTM_HEAP_UNPOISON(words_ + built_ / 8, to - built_);
+    for (std::size_t i = built_ / 8; i < to / 8; ++i)
+        new (&words_[i]) std::atomic<std::uint64_t>(0);
+    built_ = to;
+}
+
+std::size_t
+NativeHeap::builtBytes() const
+{
+    std::lock_guard<std::mutex> lk(allocMu_);
+    return built_;
 }
 
 Addr
@@ -42,6 +86,7 @@ NativeHeap::alloc(std::size_t size, std::size_t align)
             insertFree(aligned + size, len - pad - size);
         sizes_.emplace(aligned, size);
         allocated_ += size;
+        buildTo(aligned + size);
         return aligned;
     }
     panic("native heap exhausted: request %zu bytes, %zu allocated",

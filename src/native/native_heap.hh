@@ -15,6 +15,16 @@
  * mem/alloc.cc, guarded by a host mutex (allocation is off the
  * transactional fast path: objects at populate time, log chunks on
  * overflow).
+ *
+ * Storage is built on demand. The constructor only reserves raw,
+ * 64-byte-aligned memory; alloc() constructs (zero-initialises) the
+ * atomic words up to the allocator's high-water mark, in 1 MB steps,
+ * under the allocator mutex and before it hands the block out. A
+ * heap sized for the worst case therefore costs set-up time and
+ * resident memory only for what is used, and every block still reads
+ * zero when first handed out. Under AddressSanitizer the unbuilt tail
+ * stays poisoned, so a stray access beyond the high-water mark still
+ * trips it.
  */
 
 #ifndef HASTM_NATIVE_NATIVE_HEAP_HH
@@ -23,7 +33,6 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 
 #include "sim/types.hh"
@@ -38,6 +47,7 @@ class NativeHeap : public LogMem
     /** Manage @p bytes of host memory (rounded up to 8 bytes). */
     explicit NativeHeap(std::size_t bytes);
 
+    ~NativeHeap() override;
     NativeHeap(const NativeHeap &) = delete;
     NativeHeap &operator=(const NativeHeap &) = delete;
 
@@ -76,6 +86,9 @@ class NativeHeap : public LogMem
 
     std::size_t allocatedBytes() const;
     std::size_t capacityBytes() const { return bytes_; }
+    /** Bytes of storage constructed so far (the high-water mark,
+     *  rounded up to the build step). */
+    std::size_t builtBytes() const;
 
     // ---- LogMem (TxLog substrate; charges are no-ops) ----
 
@@ -90,11 +103,14 @@ class NativeHeap : public LogMem
 
   private:
     void insertFree(Addr addr, std::size_t len);
+    /** Construct the words below @p end (allocMu_ held). */
+    void buildTo(Addr end);
 
     std::size_t bytes_;
-    std::unique_ptr<std::atomic<std::uint64_t>[]> words_;
+    std::atomic<std::uint64_t> *words_;  //!< raw storage, built lazily
 
     mutable std::mutex allocMu_;
+    std::size_t built_ = 0;  //!< words_[0, built_ / 8) are constructed
     std::map<Addr, std::size_t> freeBlocks_;
     std::map<Addr, std::size_t> sizes_;
     std::size_t allocated_ = 0;

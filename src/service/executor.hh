@@ -183,6 +183,9 @@ struct PoolWorkerStats
     std::uint64_t commits = 0;
     std::uint64_t aborts = 0;
     std::uint64_t busyHostNs = 0;  //!< wall time inside request bodies
+    /** Times this worker found the channel empty after its spin and
+     *  parked on the condvar (not in the report JSON). */
+    std::uint64_t parks = 0;
 };
 
 /**

@@ -19,6 +19,49 @@ hostNowNs()
             .count());
 }
 
+/**
+ * How long a party spins before it parks. It covers a request's
+ * microsecond of TM work plus the handoff on either side, so a busy
+ * pool never parks; it is short enough that an idle worker parks
+ * well within a millisecond and stops taking CPU from the producer.
+ */
+constexpr std::uint64_t kSpinNs = 20'000;
+
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+}
+
+/** Spin until @p done() holds, for at most kSpinNs (not at all when
+ *  @p spin is false); returns done(). */
+template <typename Pred>
+bool
+spinFor(bool spin, Pred done)
+{
+    if (done())
+        return true;
+    if (!spin)
+        return false;
+    std::uint64_t deadline = 0;
+    for (unsigned i = 1;; ++i) {
+        cpuRelax();
+        if (done())
+            return true;
+        if (i % 64 == 0) {
+            std::uint64_t now = hostNowNs();
+            if (deadline == 0)
+                deadline = now + kSpinNs;
+            else if (now >= deadline)
+                return false;
+        }
+    }
+}
+
 } // namespace
 
 // ---- WorkerPool ----
@@ -26,6 +69,7 @@ hostNowNs()
 WorkerPool::WorkerPool(unsigned workers, ExecFn fn)
     : fn_(std::move(fn)),
       cap_(2 * std::max(1u, workers)),
+      spin_(std::thread::hardware_concurrency() > 1),
       stats_(std::max(1u, workers))
 {
     startNs_ = hostNowNs();
@@ -42,57 +86,139 @@ WorkerPool::~WorkerPool()
 void
 WorkerPool::loop(unsigned w)
 {
-    for (;;) {
-        Job job;
-        {
-            std::unique_lock<std::mutex> lk(mu_);
-            canPull_.wait(lk, [this] {
-                return !channel_.empty() || stopping_;
-            });
-            if (channel_.empty())
-                return;  // stopping, channel drained
-            job = channel_.front();
-            channel_.pop_front();
-            canSubmit_.notify_one();
-        }
+    // Tallied locally and stored once: no line shared with the other
+    // workers while running, and stop()'s join orders the store
+    // before workerStats() reads it.
+    PoolWorkerStats s;
+    Job job;
+    while (pull(s, &job)) {
         std::uint64_t t0 = hostNowNs();
         ExecOutcome o = fn_(w, job.req);
         std::uint64_t t1 = hostNowNs();
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            PoolWorkerStats &s = stats_[w];
-            ++s.executed;
-            s.commits += o.commits;
-            s.aborts += o.aborts;
-            s.busyHostNs += t1 - t0;
-            results_.emplace(job.ticket, o);
-            collected_.notify_all();
-        }
+        ++s.executed;
+        s.commits += o.commits;
+        s.aborts += o.aborts;
+        s.busyHostNs += t1 - t0;
+        publish(*job.cell, o);
     }
+    stats_[w] = s;
+}
+
+bool
+WorkerPool::pull(PoolWorkerStats &s, Job *job)
+{
+    std::unique_lock<std::mutex> lk(mu_, std::defer_lock);
+    for (;;) {
+        bool seen = spinFor(spin_, [this] {
+            return queued_.load(std::memory_order_relaxed) != 0 ||
+                   stopping_.load(std::memory_order_relaxed);
+        });
+        lk.lock();
+        if (!channel_.empty() || stopping_.load(std::memory_order_relaxed))
+            break;
+        if (!seen) {
+            ++s.parks;
+            ++pullersParked_;
+            canPull_.wait(lk, [this] {
+                return !channel_.empty() ||
+                       stopping_.load(std::memory_order_relaxed);
+            });
+            --pullersParked_;
+            break;
+        }
+        lk.unlock();  // another worker took it: spin again
+    }
+    if (channel_.empty())
+        return false;  // stopping, channel drained
+    *job = channel_.front();
+    channel_.pop_front();
+    queued_.store(unsigned(channel_.size()), std::memory_order_relaxed);
+    bool wake = submitterParked_;
+    lk.unlock();
+    if (wake)
+        canSubmit_.notify_one();
+    return true;
+}
+
+void
+WorkerPool::publish(Cell &cell, const ExecOutcome &o)
+{
+    cell.out = o;
+    // Dekker with collect(): store ready, then load the parked word.
+    cell.ready.store(true, std::memory_order_seq_cst);
+    if (collectorParked_.load(std::memory_order_seq_cst)) {
+        // The collector holds mu_ from raising the word until it is
+        // inside wait(); taking mu_ here means the notify cannot land
+        // in between.
+        { std::lock_guard<std::mutex> lk(mu_); }
+        collected_.notify_one();
+    }
+}
+
+void
+WorkerPool::onProducerThread()
+{
+    std::thread::id me = std::this_thread::get_id();
+    if (producer_ == std::thread::id())
+        producer_ = me;
+    if (producer_ != me)
+        panic("WorkerPool: submit/collect called from a second thread "
+              "(the pool has a single producer)");
 }
 
 std::uint64_t
 WorkerPool::submit(const ServiceRequest &req)
 {
-    std::unique_lock<std::mutex> lk(mu_);
-    HASTM_ASSERT(!stopping_);
-    canSubmit_.wait(lk, [this] { return channel_.size() < cap_; });
+    onProducerThread();
+    HASTM_ASSERT(!stopping_.load(std::memory_order_relaxed));
     std::uint64_t ticket = nextTicket_++;
-    channel_.push_back({ticket, req});
-    canPull_.notify_one();
+    Cell &cell = cells_.emplace_back();
+    spinFor(spin_, [this] {
+        return queued_.load(std::memory_order_relaxed) < cap_;
+    });
+    std::unique_lock<std::mutex> lk(mu_);
+    if (channel_.size() >= cap_) {
+        submitterParked_ = true;
+        canSubmit_.wait(lk, [this] { return channel_.size() < cap_; });
+        submitterParked_ = false;
+    }
+    channel_.push_back({&cell, req});
+    queued_.store(unsigned(channel_.size()), std::memory_order_relaxed);
+    bool wake = pullersParked_ != 0;
+    lk.unlock();
+    if (wake)
+        canPull_.notify_one();
     return ticket;
 }
 
 ExecOutcome
 WorkerPool::collect(std::uint64_t ticket)
 {
-    std::unique_lock<std::mutex> lk(mu_);
-    collected_.wait(lk, [this, ticket] {
-        return results_.find(ticket) != results_.end();
-    });
-    auto it = results_.find(ticket);
-    ExecOutcome o = it->second;
-    results_.erase(it);
+    onProducerThread();
+    if (ticket >= nextTicket_)
+        panic("WorkerPool::collect: ticket %llu was never submitted",
+              static_cast<unsigned long long>(ticket));
+    if (ticket < base_ || cells_[ticket - base_].taken)
+        panic("WorkerPool::collect: ticket %llu was already collected",
+              static_cast<unsigned long long>(ticket));
+    Cell &cell = cells_[ticket - base_];
+    if (!spinFor(spin_, [&cell] {
+            return cell.ready.load(std::memory_order_acquire);
+        })) {
+        std::unique_lock<std::mutex> lk(mu_);
+        // Dekker with publish(): raise the word, then load ready.
+        collectorParked_.store(true, std::memory_order_seq_cst);
+        collected_.wait(lk, [&cell] {
+            return cell.ready.load(std::memory_order_seq_cst);
+        });
+        collectorParked_.store(false, std::memory_order_relaxed);
+    }
+    ExecOutcome o = cell.out;
+    cell.taken = true;
+    while (!cells_.empty() && cells_.front().taken) {
+        cells_.pop_front();
+        ++base_;
+    }
     return o;
 }
 
@@ -101,13 +227,13 @@ WorkerPool::stop()
 {
     {
         std::lock_guard<std::mutex> lk(mu_);
-        if (stopping_) {
+        if (stopping_.load(std::memory_order_relaxed)) {
             HASTM_ASSERT(stopped_);
             return;
         }
-        stopping_ = true;
-        canPull_.notify_all();
+        stopping_.store(true, std::memory_order_relaxed);
     }
+    canPull_.notify_all();
     for (std::thread &t : threads_)
         t.join();
     wallNs_ = hostNowNs() - startNs_;

@@ -13,18 +13,27 @@
  * reruns are bit-identical — and the serial-gate overload regression:
  * a burst drives real watchdog escalations through the NativeGate,
  * and recovery drains them (gate quiescent, optimistic execution
- * resumes abort-free).
+ * resumes abort-free). The WorkerPool handoff (ticketed result cells,
+ * spin-then-park with counted wakeups) and the on-demand NativeHeap
+ * storage the pool's executor sits on are tested directly, without
+ * fibers, so the CI's ThreadSanitizer job runs them too.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <deque>
+#include <memory>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "harness/report.hh"
+#include "native/native_heap.hh"
 #include "service/server.hh"
 #include "service/trace_source.hh"
 #include "service/worker_pool.hh"
@@ -927,6 +936,294 @@ TEST(Service, PooledExecutorInlinePathMatchesPopulateContract)
     EXPECT_GT(exec.size(), 0u);
     EXPECT_TRUE(exec.invariant());
     EXPECT_TRUE(exec.gateQuiescent());
+}
+
+// ---- WorkerPool: the handoff alone, with a trivial ExecFn ----
+
+ServiceRequest
+poolReq(std::uint64_t i)
+{
+    ServiceRequest r;
+    r.key = i;
+    r.value = i * 7 + 3;
+    r.seq = i;
+    return r;
+}
+
+/** The outcome a trivial ExecFn returns for poolReq(i). */
+ExecOutcome
+echo(const ServiceRequest &req)
+{
+    ExecOutcome o;
+    o.opResult = req.key % 2 != 0;
+    o.commits = 1;
+    o.commitStamp = req.value;
+    return o;
+}
+
+void
+expectEcho(const ExecOutcome &o, std::uint64_t i)
+{
+    EXPECT_EQ(o.commitStamp, i * 7 + 3) << "ticket " << i;
+    EXPECT_EQ(o.opResult, i % 2 != 0) << "ticket " << i;
+    EXPECT_EQ(o.commits, 1u) << "ticket " << i;
+}
+
+/** A gate the ExecFn can be held behind until the test opens it. */
+struct Gate
+{
+    std::atomic<bool> open{false};
+    std::atomic<unsigned> entered{0};
+
+    void
+    pass()
+    {
+        entered.fetch_add(1);
+        while (!open.load())
+            std::this_thread::yield();
+    }
+
+    void
+    awaitEntered(unsigned n) const
+    {
+        while (entered.load() < n)
+            std::this_thread::yield();
+    }
+};
+
+TEST(WorkerPool, EveryTicketComesBackOnceWithItsPayloadAndIsTallied)
+{
+    constexpr std::uint64_t kN = 100'000;
+    std::unique_ptr<std::atomic<unsigned>[]> runs(
+        new std::atomic<unsigned>[kN]);
+    for (std::uint64_t i = 0; i < kN; ++i)
+        runs[i].store(0);
+    WorkerPool pool(3, [&](unsigned, const ServiceRequest &req) {
+        runs[req.key].fetch_add(1);
+        return echo(req);
+    });
+    std::deque<std::uint64_t> outstanding;
+    std::uint64_t collected = 0;
+    for (std::uint64_t i = 0; i < kN; ++i) {
+        std::uint64_t t = pool.submit(poolReq(i));
+        ASSERT_EQ(t, i);
+        outstanding.push_back(t);
+        // Vary the backlog so the channel runs both full and empty.
+        while (outstanding.size() > (i / 1000) % 32) {
+            expectEcho(pool.collect(outstanding.front()),
+                       outstanding.front());
+            outstanding.pop_front();
+            ++collected;
+        }
+    }
+    for (std::uint64_t t : outstanding) {
+        expectEcho(pool.collect(t), t);
+        ++collected;
+    }
+    pool.stop();
+    EXPECT_EQ(collected, kN);
+    for (std::uint64_t i = 0; i < kN; ++i)
+        ASSERT_EQ(runs[i].load(), 1u) << "request " << i;
+    // The per-worker tallies account for every submit.
+    ASSERT_EQ(pool.workerStats().size(), 3u);
+    std::uint64_t executed = 0, commits = 0;
+    for (const PoolWorkerStats &s : pool.workerStats()) {
+        executed += s.executed;
+        commits += s.commits;
+    }
+    EXPECT_EQ(executed, kN);
+    EXPECT_EQ(commits, kN);
+}
+
+TEST(WorkerPool, OutOfOrderCollectWorks)
+{
+    WorkerPool pool(3, [](unsigned, const ServiceRequest &req) {
+        return echo(req);
+    });
+    std::vector<std::uint64_t> tickets;
+    for (std::uint64_t i = 0; i < 64; ++i)
+        tickets.push_back(pool.submit(poolReq(i)));
+    // Newest first, then a stride through what remains of a second
+    // batch, then the stragglers: the cell table must not lose or
+    // mix up a ticket whichever order results are taken in.
+    for (std::size_t k = tickets.size(); k-- > 0;)
+        expectEcho(pool.collect(tickets[k]), tickets[k]);
+    tickets.clear();
+    for (std::uint64_t i = 64; i < 128; ++i)
+        tickets.push_back(pool.submit(poolReq(i)));
+    for (std::size_t k = 1; k < tickets.size(); k += 3)
+        expectEcho(pool.collect(tickets[k]), tickets[k]);
+    for (std::size_t k = 0; k < tickets.size(); ++k) {
+        if (k % 3 != 1)
+            expectEcho(pool.collect(tickets[k]), tickets[k]);
+    }
+    // The table keeps working after the front was drained out of order.
+    expectEcho(pool.collect(pool.submit(poolReq(128))), 128);
+}
+
+TEST(WorkerPool, SubmitBlocksOnAFullChannelUntilAWorkerPulls)
+{
+    Gate gate;
+    WorkerPool pool(1, [&](unsigned, const ServiceRequest &req) {
+        gate.pass();
+        return echo(req);
+    });
+    std::vector<std::uint64_t> tickets;
+    tickets.push_back(pool.submit(poolReq(0)));
+    gate.awaitEntered(1);  // the only worker holds request 0
+    tickets.push_back(pool.submit(poolReq(1)));
+    tickets.push_back(pool.submit(poolReq(2)));  // channel (2) full
+    std::atomic<bool> opened{false};
+    std::thread opener([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        opened.store(true);
+        gate.open.store(true);
+    });
+    tickets.push_back(pool.submit(poolReq(3)));
+    EXPECT_TRUE(opened.load())
+        << "submit returned while the channel was still full";
+    opener.join();
+    for (std::uint64_t t : tickets)
+        expectEcho(pool.collect(t), t);
+}
+
+TEST(WorkerPool, StopWithJobsStillQueuedRunsThemAll)
+{
+    Gate gate;
+    std::atomic<unsigned> ran{0};
+    WorkerPool pool(2, [&](unsigned, const ServiceRequest &req) {
+        gate.pass();
+        ran.fetch_add(1);
+        return echo(req);
+    });
+    std::vector<std::uint64_t> tickets;
+    for (std::uint64_t i = 0; i < 2; ++i)
+        tickets.push_back(pool.submit(poolReq(i)));
+    gate.awaitEntered(2);  // both workers held
+    for (std::uint64_t i = 2; i < 6; ++i)
+        tickets.push_back(pool.submit(poolReq(i)));  // fills the channel
+    std::thread opener([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        gate.open.store(true);
+    });
+    pool.stop();
+    opener.join();
+    EXPECT_EQ(ran.load(), 6u);
+    std::uint64_t executed = 0;
+    for (const PoolWorkerStats &s : pool.workerStats())
+        executed += s.executed;
+    EXPECT_EQ(executed, 6u);
+    for (std::uint64_t t : tickets)
+        expectEcho(pool.collect(t), t);
+}
+
+TEST(WorkerPool, IdleThenBurstWakesParkedParties)
+{
+    constexpr unsigned kBursts = 6;
+    constexpr std::uint64_t kBurst = 40;
+    WorkerPool pool(3, [](unsigned, const ServiceRequest &req) {
+        // The first request of a burst outlasts the collector's spin,
+        // so collect() parks and a worker's publish must wake it.
+        if (req.key % kBurst == 0)
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        return echo(req);
+    });
+    std::uint64_t next = 0;
+    for (unsigned b = 0; b < kBursts; ++b) {
+        // Long enough idle for every spinning party to park.
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        std::vector<std::uint64_t> tickets;
+        for (std::uint64_t i = 0; i < kBurst; ++i)
+            tickets.push_back(pool.submit(poolReq(next++)));
+        for (std::uint64_t t : tickets)
+            expectEcho(pool.collect(t), t);
+    }
+    pool.stop();
+    std::uint64_t executed = 0, parks = 0;
+    for (const PoolWorkerStats &s : pool.workerStats()) {
+        executed += s.executed;
+        parks += s.parks;
+    }
+    EXPECT_EQ(executed, kBursts * kBurst);
+    EXPECT_GE(parks, 1u) << "no worker ever parked: the wake-a-parked-"
+                            "worker path went untested";
+}
+
+TEST(WorkerPoolDeathTest, CollectOfAnUnknownOrCollectedTicketPanics)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    auto fn = [](unsigned, const ServiceRequest &req) { return echo(req); };
+    EXPECT_DEATH(
+        {
+            WorkerPool pool(1, fn);
+            pool.collect(pool.submit(poolReq(0)));
+            pool.collect(0);
+        },
+        "ticket 0 was already collected");
+    EXPECT_DEATH(
+        {
+            WorkerPool pool(1, fn);
+            pool.collect(pool.submit(poolReq(0)));
+            pool.collect(7);
+        },
+        "ticket 7 was never submitted");
+}
+
+TEST(WorkerPoolDeathTest, SecondProducerThreadPanics)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    auto fn = [](unsigned, const ServiceRequest &req) { return echo(req); };
+    EXPECT_DEATH(
+        {
+            WorkerPool pool(1, fn);
+            std::uint64_t t = pool.submit(poolReq(0));
+            std::thread other([&] { pool.collect(t); });
+            other.join();
+        },
+        "single producer");
+}
+
+// ---- NativeHeap: storage built on demand ----
+
+TEST(NativeHeap, BuildsOnlyWhatItHandsOut)
+{
+    constexpr std::size_t kStep = 1 << 20;
+    NativeHeap heap(1ull << 30);
+    EXPECT_EQ(heap.builtBytes(), 0u);
+    std::vector<Addr> small;
+    for (unsigned i = 0; i < 100; ++i)
+        small.push_back(heap.allocZeroed(64));
+    EXPECT_LE(heap.builtBytes(), kStep);
+    EXPECT_GE(heap.builtBytes(), small.back() + 64);
+
+    // A block straddling the next step boundary is built through its
+    // end, reads zero and is writable.
+    Addr pad = heap.alloc(kStep - 8192);
+    Addr straddle = heap.alloc(16384);
+    EXPECT_LT(straddle, kStep);
+    EXPECT_GT(straddle + 16384, kStep);
+    EXPECT_EQ(heap.builtBytes(), 2 * kStep);
+    for (Addr a = straddle; a < straddle + 16384; a += 8) {
+        ASSERT_EQ(heap.loadWord(a), 0u) << a;
+        heap.storeWord(a, a);
+    }
+    for (Addr a = straddle; a < straddle + 16384; a += 8)
+        ASSERT_EQ(heap.loadWord(a), a);
+
+    // Free and coalesce as before: with everything returned, the
+    // first fit for a block larger than any single freed one is the
+    // start of the heap again.
+    heap.free(straddle);
+    heap.free(pad);
+    for (Addr a : small)
+        heap.free(a);
+    EXPECT_EQ(heap.allocatedBytes(), 0u);
+    Addr big = heap.alloc(2 * kStep, 64);
+    EXPECT_EQ(big, 64u);
+    EXPECT_EQ(heap.builtBytes(), 3 * kStep);
+    heap.free(big);
+    // Memory once built stays built, and keeps its contents.
+    EXPECT_EQ(heap.loadWord(straddle), straddle);
 }
 
 } // namespace
